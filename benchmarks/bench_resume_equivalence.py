@@ -14,8 +14,8 @@ kill is a real process death, not a simulated one):
   snapshot generation exists, then ``--resume``d to completion and its
   report compared byte-for-byte against arm A's.
 
-``PYTHONHASHSEED`` is pinned for both arms: the VM application-trace
-seeds hash VM names, so equivalence is per-interpreter-configuration.
+``PYTHONHASHSEED`` is pinned for both arms; reports no longer depend
+on it (VM application-trace seeds use a CRC-32 of the VM name).
 
 Scale knobs from the environment:
 

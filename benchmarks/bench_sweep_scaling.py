@@ -11,10 +11,9 @@ Two arms, both run as subprocesses of the ``repro sweep`` CLI:
 * **parallel** — ``--jobs N`` (default 4), timed, and its report
   compared byte-for-byte against the serial arm's.
 
-``PYTHONHASHSEED`` is pinned for both arms: the VM application-trace
-seeds hash VM names, so cross-process equivalence is
-per-interpreter-configuration (exactly as the kill/resume bench pins
-it).
+``PYTHONHASHSEED`` is pinned for both arms, as in the kill/resume
+bench; reports no longer depend on it (VM application-trace seeds use
+a CRC-32 of the VM name).
 
 The byte-identity assertion always runs.  The speedup assertion only
 runs when the machine actually has cores to parallelise over (>= 2

@@ -402,12 +402,13 @@ class Hypervisor:
     # -- the execution engine --------------------------------------------------------
 
     def _record_fault(self, fault_class: FaultClass, origin: FaultOrigin,
-                      component: str, detail: str = "") -> None:
+                      component: str, detail: str = "",
+                      count: int = 1) -> None:
         self.platform.faults.record(FaultRecord(
             timestamp=self.clock.now, fault_class=fault_class,
-            origin=origin, component=component, detail=detail,
+            origin=origin, component=component, detail=detail, count=count,
         ))
-        self.metrics.inc(f"hardware.faults.{fault_class.value}")
+        self.metrics.inc(f"hardware.faults.{fault_class.value}", count)
 
     def _domain_error_rate_per_s(self, domain) -> float:
         """Consumed retention-error rate of a relaxed domain.
@@ -426,29 +427,47 @@ class Hypervisor:
         return weak_cells * consumed_fraction / domain.refresh_interval_s
 
     def _handle_dram_errors(self, dt_s: float) -> None:
+        """Sample each relaxed domain's retention errors for one tick.
+
+        Each error lands on critical state with the domain's critical
+        share.  All of a domain's errors are drawn in one batch; the
+        RNG ends exactly where one draw per error, stopping at the first
+        critical hit, would leave it.
+        """
         for domain in self.platform.memory.relaxed_domains():
             rate = self._domain_error_rate_per_s(domain)
             n_errors = int(self._rng.poisson(rate * dt_s))
-            for _ in range(n_errors):
-                if self.placement.error_hits_critical(domain.name, self._rng):
-                    # Retention error in hypervisor/kernel state: host down.
-                    self._crashed = True
-                    self.stats.host_crashes += 1
-                    self._record_fault(FaultClass.CRASH, FaultOrigin.DRAM,
-                                       domain.name, "critical state hit")
-                    self.bus.publish(CrashEvent(
-                        timestamp=self.clock.now, source="hypervisor",
-                        component=domain.name,
-                        operating_point=(
-                            f"refresh {domain.refresh_interval_s:.2f} s"),
-                    ))
-                    return
-                # VM data hit: a silent corruption inside one guest.
-                self.stats.vm_sdc_events += 1
+            if n_errors == 0:
+                continue
+            share = self.placement.critical_share(domain.name)
+            n_benign = n_errors
+            if share is not None:
+                saved = self._rng.bit_generator.state
+                hits = np.flatnonzero(self._rng.random(n_errors) < share)
+                if hits.size:
+                    n_benign = int(hits[0])
+                    self._rng.bit_generator.state = saved
+                    self._rng.random(n_benign + 1)
+            if n_benign:
+                # VM data hits: silent corruptions inside guests.
+                self.stats.vm_sdc_events += n_benign
                 self._record_fault(
                     FaultClass.SILENT_DATA_CORRUPTION, FaultOrigin.DRAM,
-                    domain.name, "guest page",
+                    domain.name, "guest page", count=n_benign,
                 )
+            if n_benign < n_errors:
+                # Retention error in hypervisor/kernel state: host down.
+                self._crashed = True
+                self.stats.host_crashes += 1
+                self._record_fault(FaultClass.CRASH, FaultOrigin.DRAM,
+                                   domain.name, "critical state hit")
+                self.bus.publish(CrashEvent(
+                    timestamp=self.clock.now, source="hypervisor",
+                    component=domain.name,
+                    operating_point=(
+                        f"refresh {domain.refresh_interval_s:.2f} s"),
+                ))
+                return
 
     def tick(self) -> None:
         """Advance the machine by one scheduler tick."""

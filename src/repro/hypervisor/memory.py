@@ -375,18 +375,24 @@ class PlacementPolicy:
             if a.tier != self.classifier.classify(a.placement_class)
         )
 
-    def error_hits_critical(self, domain_name: str,
-                            rng: np.random.Generator) -> bool:
-        """Whether a bit error in ``domain_name`` lands on critical state.
+    def critical_share(self, domain_name: str) -> Optional[float]:
+        """Critical fraction of the *used* memory in ``domain_name``.
 
-        The probability is the critical share of the domain's *used*
-        memory — an error in an untouched page is harmless.
+        This is the probability that a bit error in the domain lands on
+        critical state.  ``None`` when nothing is allocated there: an
+        error in an untouched page is harmless.
         """
         used = self._domain_usage_mb(domain_name)
         if used <= 0:
-            return False
+            return None
         critical = sum(
             a.size_mb for a in self._allocations
             if a.domain == domain_name and a.critical
         )
-        return bool(rng.random() < critical / used)
+        return critical / used
+
+    def error_hits_critical(self, domain_name: str,
+                            rng: np.random.Generator) -> bool:
+        """Whether one bit error in ``domain_name`` lands on critical state."""
+        share = self.critical_share(domain_name)
+        return share is not None and bool(rng.random() < share)

@@ -9,6 +9,7 @@ LDBC VMs reproduce Figure 3's dynamics.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional
@@ -169,8 +170,10 @@ class VirtualMachine:
         """The application footprint trace across this VM's execution."""
         if self._app_trace is None or len(self._app_trace) != n_steps:
             database_mb = max(64.0, self.workload.demand.memory_mb / 1.3)
+            # crc32, not hash(): str hashes change with PYTHONHASHSEED.
+            name_salt = zlib.crc32(self.name.encode()) % 1000
             self._app_trace = memory_trace_mb(
-                database_mb, n_steps, seed=self._memory_seed + hash(self.name) % 1000,
+                database_mb, n_steps, seed=self._memory_seed + name_salt,
             )
         return self._app_trace
 

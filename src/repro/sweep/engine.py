@@ -24,11 +24,9 @@ before it crosses the process boundary).  The parent retries crashed
 workers a bounded number of times and records permanent failures as
 rows rather than aborting the sweep.
 
-On platforms with ``fork`` the workers inherit the parent's interpreter
-configuration, so jobs-1 and jobs-N sweeps agree byte-for-byte within
-any single parent process.  Comparing reports *across* parent processes
-additionally needs ``PYTHONHASHSEED`` pinned (the VM application-trace
-seeds hash VM names), exactly as the kill/resume bench already does.
+Jobs-1 and jobs-N sweeps agree byte-for-byte, within one parent
+process and across processes: nothing in a row depends on the
+interpreter's string-hash seed.
 """
 
 from __future__ import annotations

@@ -1,10 +1,30 @@
 """Tests for the VM lifecycle."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.exceptions import ConfigurationError
 from repro.hypervisor.vm import VirtualMachine, VMState, make_vm_fleet
 from repro.workloads import ldbc_workload, spec_workload
+
+_REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: Writes a short ``repro eop`` report to argv[1] and prints a digest of
+#: a fleet VM's application-memory trace.
+_HASH_SEED_PROBE = """
+import hashlib, sys
+from repro.cli import main
+from repro.hypervisor import make_vm_fleet
+from repro.workloads import ldbc_workload
+main(["--seed", "3", "eop", "--duration", "300", "--vms", "2",
+      "--inject", "core2:60:120:0.5", "--report-json", sys.argv[1]])
+vm = make_vm_fleet(ldbc_workload(), 2)[1]
+print(hashlib.sha256(vm.application_memory_mb().tobytes()).hexdigest())
+"""
 
 
 @pytest.fixture
@@ -112,3 +132,22 @@ class TestFleet:
             VirtualMachine(name="", workload=ldbc_workload())
         with pytest.raises(ConfigurationError):
             VirtualMachine(name="x", workload=ldbc_workload(), vcpus=0)
+
+
+class TestHashSeedIndependence:
+    def test_reports_and_traces_ignore_pythonhashseed(self, tmp_path):
+        """Two processes with different str hashing agree byte for byte."""
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = (str(_REPO_ROOT / "src") + os.pathsep
+                                 + env.get("PYTHONPATH", ""))
+            env["PYTHONHASHSEED"] = hash_seed
+            report = tmp_path / f"eop-{hash_seed}.json"
+            done = subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_PROBE, str(report)],
+                check=True, env=env, cwd=_REPO_ROOT, capture_output=True,
+                text=True, timeout=240)
+            trace_digest = done.stdout.strip().splitlines()[-1]
+            outputs.append((report.read_bytes(), trace_digest))
+        assert outputs[0] == outputs[1]
