@@ -6,7 +6,7 @@ telemetry, reliability-aware filter/weigh scheduling, integrated node
 failure prediction and proactive live migration.
 """
 
-from .cloud import CloudController, CloudStats, ControllerStats
+from .cloud import CloudController, ControllerStats
 from .failure_prediction import (
     DomainRisk,
     HARVEST_FEATURES,
@@ -75,7 +75,7 @@ from .simulation import (
 __all__ = [
     "RackExperiment", "SimulationStats", "TIER_MAP",
     "TraceDrivenSimulation", "run_rack_experiment", "run_trace_experiment",
-    "CloudController", "CloudStats", "ControllerStats",
+    "CloudController", "ControllerStats",
     "DomainRisk", "HARVEST_FEATURES", "HORIZONS", "HorizonRisk",
     "HorizonRiskReport", "LearnedFailurePredictor",
     "MultiHorizonPredictor", "NODE_FEATURES", "RiskAssessment",

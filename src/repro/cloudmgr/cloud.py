@@ -80,10 +80,6 @@ class ControllerStats:
     repair_times_s: List[float] = field(default_factory=list)
 
 
-#: Backwards-compatible alias (pre-resilience name).
-CloudStats = ControllerStats
-
-
 @dataclass
 class _RetryState:
     """Backoff bookkeeping for one node's pending evacuation retries."""

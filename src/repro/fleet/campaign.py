@@ -77,6 +77,7 @@ from .report import fleet_campaign_report
 from .state import (
     DYNAMIC_FIELDS,
     FleetConfig,
+    FleetState,
     shard_bounds,
 )
 from .vectors import (
@@ -211,9 +212,9 @@ class FleetCampaignConfig:
     def build_chaos(self, keys=None) -> Optional[FleetChaos]:
         """Compile the fault plan(s) to mask kernels (None without chaos).
 
-        Pure function of the config, so the parent, every worker, and
-        every replay compile bit-identical masks independently.  The
-        per-node and correlated plans merge into one compiled object.
+        Pure function of the config: the executor compiles it once and
+        its workers inherit the compiled object.  The per-node and
+        correlated plans merge into one compiled object.
         """
         plan = self.fault_plan()
         correlated = self.correlated_plan()
@@ -321,20 +322,20 @@ class _InProcessExecutor:
         pass
 
 
-def _fleet_worker_main(config_state: Dict[str, object],
+def _fleet_worker_main(config: FleetCampaignConfig, state: FleetState,
+                       chaos: Optional[FleetChaos],
                        shard_indices: List[int], conn) -> None:
     """Worker entry: own a subset of shards, step on command.
 
-    The worker rebuilds the *full* fleet state from config (statics are
-    pure functions of it) but steps only its assigned shard views —
-    shared-nothing over shards, byte-identical to any other partition.
-    Every reply carries the step it acknowledges (-1 for non-step
-    commands), feeding the parent's liveness ledger.
+    ``state`` is the parent's pristine fleet state and ``chaos`` its
+    compiled fault plan, inherited as process arguments (without a copy
+    under ``fork``, pickled under ``spawn``), so the worker builds
+    nothing.  It owns its copy of ``state`` but steps only its assigned
+    shard views — shared-nothing over shards, byte-identical to any
+    other partition.  Every reply carries the step it acknowledges (-1
+    for non-step commands), feeding the parent's liveness ledger.
     """
-    config = FleetCampaignConfig.from_dict(config_state)
-    state = build_fleet_state(config.fleet)
     vectors = FleetVectors(config.fleet)
-    chaos = config.build_chaos(keys=state.keys)
     bounds = shard_bounds(config.fleet.n_nodes, config.shards)
     mine = []
     for i in shard_indices:
@@ -404,6 +405,11 @@ class _ProcessExecutor:
     exhausts ``max_worker_restarts`` has its shards quarantined: the
     parent replays them in-process to the failure step, marks their
     nodes DOWN, and freezes them for the rest of the campaign.
+
+    The parent builds the fleet state and compiles the chaos once;
+    every worker, respawned ones included, inherits both.  ``pristine``
+    is that step-0 state: the parent never steps it, and a quarantine
+    replay steps a copy.
     """
 
     #: First patience for ``close()``; escalation halves it.
@@ -442,8 +448,8 @@ class _ProcessExecutor:
             if step < 0:
                 raise ConfigurationError("kill step must be >= 0")
             self._kill_at.setdefault(int(step), []).append(int(worker))
-        self._config_state = config.as_dict()
-        self.chaos = config.build_chaos()
+        self.pristine = build_fleet_state(config.fleet)
+        self.chaos = config.build_chaos(keys=self.pristine.keys)
         self._vectors = FleetVectors(config.fleet)
         self._workers: List[Optional[tuple]] = [None] * jobs
         self._restarts = [0] * jobs
@@ -464,8 +470,8 @@ class _ProcessExecutor:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_fleet_worker_main,
-            args=(self._config_state, self._assignment[worker],
-                  child_conn),
+            args=(self.config, self.pristine, self.chaos,
+                  self._assignment[worker], child_conn),
             daemon=True)
         process.start()
         child_conn.close()
@@ -598,7 +604,7 @@ class _ProcessExecutor:
             "shards %s", worker, self.max_worker_restarts,
             self._assignment[worker])
         config = self.config
-        state = build_fleet_state(config.fleet)
+        state = self.pristine.copy()
         shard_views = []
         for i in self._assignment[worker]:
             lo, hi = self.bounds[i]
@@ -968,14 +974,18 @@ class FleetCampaign:
             partitioned = at_risk = None
         route_around = unavailable.any()
         defended = cfg.domain_defense and self.chaos is not None
-        for _ in range(count):
-            seq = self._arrival_seq
-            self._arrival_seq += 1
-            size_draw = float(counter_uniform(
-                self._arrival_key, np.uint64(seq), CH_ARRIVAL_SIZE))
+        first = self._arrival_seq
+        self._arrival_seq += count
+        # The hash is elementwise, so one draw over the step's seq range
+        # equals one scalar draw per VM.
+        seqs = np.arange(first, first + count, dtype=np.uint64)
+        size_draws = counter_uniform(self._arrival_key, seqs,
+                                     CH_ARRIVAL_SIZE).tolist()
+        life_draws = counter_uniform(self._arrival_key, seqs,
+                                     CH_ARRIVAL_LIFETIME).tolist()
+        for seq, size_draw, life_draw in zip(
+                range(first, first + count), size_draws, life_draws):
             vcpus = min(cfg.max_vcpus, 1 + int(size_draw * cfg.max_vcpus))
-            life_draw = float(counter_uniform(
-                self._arrival_key, np.uint64(seq), CH_ARRIVAL_LIFETIME))
             lifetime_s = -cfg.mean_lifetime_s * math.log1p(-life_draw)
             if defended:
                 node = self._place_defended(

@@ -34,12 +34,13 @@ control-plane machinery the vector fleet does not simulate.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.exceptions import ConfigurationError
-from ..resilience.chaos import FaultKind, FaultPlan, FaultSpec
+from ..resilience.chaos import (FaultKind, FaultPlan, FaultSpec,
+                                random_fault_specs)
 from .domains import (FaultDomainTopology, cooling_zone_name, pdu_name,
                       rack_name)
 from .state import FleetConfig
@@ -121,36 +122,9 @@ def fleet_fault_plan(n_nodes: int, duration_s: float, seed: int = 0,
     magnitudes.  Node names follow :func:`fleet_node_name`, so the same
     plan drives the zoned object stack byte-for-byte reproducibly.
     """
-    if n_nodes < 1:
-        raise ConfigurationError("need at least one node")
-    if duration_s <= 0:
-        raise ConfigurationError("duration must be positive")
-    if rate_per_hour < 0:
-        raise ConfigurationError("rate must be >= 0")
-    if not 0 < intensity <= 1:
-        raise ConfigurationError("intensity must be in (0, 1]")
-    rng = np.random.default_rng(seed)
-    kinds = [entry[0] for entry in _FLEET_MENU]
-    weights = np.array([entry[1] for entry in _FLEET_MENU])
-    weights = weights / weights.sum()
-    windows = {entry[0]: entry[2] for entry in _FLEET_MENU}
-
-    specs: List[FaultSpec] = []
-    expected = rate_per_hour * duration_s / 3600.0
-    for index in range(n_nodes):
-        for _ in range(int(rng.poisson(expected))):
-            kind = kinds[int(rng.choice(len(kinds), p=weights))]
-            lo, hi = windows[kind]
-            fault_duration = float(rng.uniform(lo, hi)) if hi > 0 else 0.0
-            latest = max(0.0, duration_s
-                         - min(fault_duration, duration_s / 2))
-            start = float(rng.uniform(0.0, latest)) if latest > 0 else 0.0
-            magnitude = float(np.clip(
-                intensity * rng.uniform(0.6, 1.0), 0.05, 1.0))
-            specs.append(FaultSpec(
-                kind=kind, node=fleet_node_name(index), start_s=start,
-                duration_s=fault_duration, magnitude=magnitude))
-    return FaultPlan(specs)
+    names = [fleet_node_name(index) for index in range(n_nodes)]
+    return FaultPlan(random_fault_specs(names, duration_s, _FLEET_MENU,
+                                        rate_per_hour, seed, intensity))
 
 
 #: (kind, domain-name helper, (min, max) window seconds) for the
@@ -198,8 +172,8 @@ def fleet_correlated_plan(config: FleetConfig, duration_s: float,
         fault_duration = float(rng.uniform(lo, hi))
         latest = max(0.0, duration_s - min(fault_duration, duration_s / 2))
         start = float(rng.uniform(0.0, latest)) if latest > 0 else 0.0
-        magnitude = float(np.clip(
-            intensity * rng.uniform(0.6, 1.0), 0.05, 1.0))
+        magnitude = min(max(
+            intensity * float(rng.uniform(0.6, 1.0)), 0.05), 1.0)
         return FaultSpec(kind=kind, node=namer(domain), start_s=start,
                          duration_s=max(fault_duration, config.step_s),
                          magnitude=magnitude)
@@ -239,6 +213,14 @@ class FleetChaos:
     Spec times (seconds) quantize to steps: an instantaneous fault
     fires at the step containing its start; a window covers every step
     it overlaps.
+
+    The crash, down, partition and at-risk masks are memoised per step
+    (the brownout crash draws for the last ``crash_down_steps`` steps,
+    which every down mask looks back over), so the several callers of
+    one step share one computation.  Memoised masks are read-only;
+    build on them with ``|``/``&``, never in place.  The memo only ever
+    holds pure functions of ``(plan, step)``, so it never changes an
+    answer and a shared object stays safe to hand to forked workers.
     """
 
     #: Per-node compiled arrays (sliced by :meth:`view`).
@@ -264,6 +246,7 @@ class FleetChaos:
         self.topology = FaultDomainTopology.from_config(config)
         self.keys = (keys if keys is not None
                      else fleet_counter_keys(n, config.seed))
+        self._memo: Dict[str, Dict[int, np.ndarray]] = {}
 
         crashes: List[List[int]] = [[] for _ in range(n)]
         drops: List[List[Tuple[int, int, float]]] = [[] for _ in range(n)]
@@ -367,26 +350,45 @@ class FleetChaos:
         shard.crash_down_steps = self.crash_down_steps
         shard.defense = self.defense
         shard.topology = self.topology
+        shard._memo = {}
         for name in self._ARRAYS:
             setattr(shard, name, getattr(self, name)[lo:hi])
         return shard
 
     # -- per-step masks (all elementwise over nodes) ----------------------
 
+    def _memoised(self, name: str, t: int, compute: Callable[[int],
+                  np.ndarray], keep: int = 1) -> np.ndarray:
+        """``compute(t)`` made once and kept read-only for the last
+        ``keep`` steps asked for (oldest request evicted first)."""
+        cache = self._memo.setdefault(name, {})
+        mask = cache.get(t)
+        if mask is None:
+            mask = compute(t)
+            mask.setflags(write=False)
+            cache[t] = mask
+            if len(cache) > keep:
+                del cache[next(iter(cache))]
+        return mask
+
     def crash_mask(self, t: int) -> np.ndarray:
         """Nodes crashing exactly at step ``t`` (plan or brownout)."""
-        return (np.any(self.crash_steps == t, axis=1)
-                | self.brownout_crash_mask(t))
+        return self._memoised("crash", t, lambda t: (
+            np.any(self.crash_steps == t, axis=1)
+            | self.brownout_crash_mask(t)))
 
     def down_mask(self, t: int) -> np.ndarray:
         """Nodes DOWN at step ``t`` (inside a post-crash outage)."""
+        return self._memoised("down", t, self._down_mask)
+
+    def _down_mask(self, t: int) -> np.ndarray:
         live = self.crash_steps >= 0
         down = np.any(live & (self.crash_steps <= t)
                       & (t < self.crash_steps + self.crash_down_steps),
                       axis=1)
         # Brownout crashes down a node exactly like plan crashes; the
-        # lookback re-derives the last few steps' draws, so the answer
-        # stays a pure function of (plan, t) in any partition.
+        # lookback reads the last few steps' draws, so the answer stays
+        # a pure function of (plan, t) in any partition.
         for s in range(max(0, t - self.crash_down_steps + 1), t + 1):
             down |= self.brownout_crash_mask(s)
         return down
@@ -449,8 +451,14 @@ class FleetChaos:
         A per-``(node, step)`` counter draw against the rail's
         magnitude-scaled crash probability — independent across the
         rail's nodes (each machine's PSU rides out the sag or not), but
-        deterministic in any partition.
+        deterministic in any partition.  Kept for the last
+        ``crash_down_steps`` steps, the window :meth:`down_mask` reads.
         """
+        return self._memoised("brownout_crash", t,
+                              self._brownout_crash_draw,
+                              keep=self.crash_down_steps)
+
+    def _brownout_crash_draw(self, t: int) -> np.ndarray:
         p = self._brownout_crash_prob(t)
         draw = counter_uniform(self.keys, np.uint64(t), CH_BROWNOUT_CRASH)
         return (p > 0.0) & (draw < p)
@@ -479,8 +487,8 @@ class FleetChaos:
         about the network) but are blacked out for telemetry and new
         admissions — the campaign layer consumes this mask.
         """
-        return np.any((self.part_start <= t) & (t < self.part_end),
-                      axis=1)
+        return self._memoised("partition", t, lambda t: np.any(
+            (self.part_start <= t) & (t < self.part_end), axis=1))
 
     def at_risk_mask(self, t: int) -> np.ndarray:
         """Nodes inside an active brownout or cooling window at ``t``.
@@ -488,6 +496,9 @@ class FleetChaos:
         The defense layers (anti-affinity placement, evacuation
         backpressure) treat these as blast radii to route around.
         """
+        return self._memoised("at_risk", t, self._at_risk_mask)
+
+    def _at_risk_mask(self, t: int) -> np.ndarray:
         bro = np.any((self.bro_start <= t) & (t < self.bro_end), axis=1)
         cool = np.any((self.cool_start <= t) & (t < self.cool_end),
                       axis=1)

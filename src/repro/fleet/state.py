@@ -261,6 +261,14 @@ class FleetState:
             setattr(shard, name, getattr(self, name)[lo:hi])
         return shard
 
+    def copy(self) -> "FleetState":
+        """A state with copies of the dynamic arrays and the statics
+        shared (nothing ever writes a key, Vmin or retention weakness)."""
+        clone = self.view(0, self.n)
+        for name, _ in DYNAMIC_FIELDS:
+            setattr(clone, name, getattr(self, name).copy())
+        return clone
+
     # -- persistence -------------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:

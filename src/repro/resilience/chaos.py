@@ -16,6 +16,7 @@ streams, so the same seed replays the same campaign bit-for-bit.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
@@ -164,6 +165,54 @@ _RANDOM_MENU: Tuple[Tuple[FaultKind, float, Tuple[float, float]], ...] = (
 )
 
 
+def random_fault_specs(
+        nodes: Sequence[str], duration_s: float,
+        menu: Sequence[Tuple[FaultKind, float, Tuple[float, float]]],
+        rate_per_hour: float, seed: int,
+        intensity: float) -> List[FaultSpec]:
+    """Draw seeded fault specs for ``nodes``, visited in the given order.
+
+    ``menu`` lists ``(kind, relative weight, (min, max) window s)``; a
+    zero-length window makes the kind instantaneous.  Each node draws a
+    Poisson count at ``rate_per_hour`` per node-hour, then per fault a
+    kind, a window, a start and a magnitude.  The kind draw is
+    ``bisect_right`` of one ``rng.random()`` over the normalised weight
+    cumsum: the draw and the comparison ``Generator.choice(k, p=...)``
+    makes, without its per-call checks, so seeded plans keep their
+    exact specs.  Shared by :meth:`FaultPlan.random` and the fleet's
+    :func:`~repro.fleet.chaos.fleet_fault_plan`.
+    """
+    if not nodes:
+        raise ConfigurationError("need at least one node")
+    if duration_s <= 0:
+        raise ConfigurationError("duration must be positive")
+    if rate_per_hour < 0:
+        raise ConfigurationError("rate must be >= 0")
+    if not 0 < intensity <= 1:
+        raise ConfigurationError("intensity must be in (0, 1]")
+    rng = np.random.default_rng(seed)
+    weights = np.array([entry[1] for entry in menu])
+    cdf = np.cumsum(weights / weights.sum())
+    cdf = (cdf / cdf[-1]).tolist()
+
+    specs: List[FaultSpec] = []
+    expected = rate_per_hour * duration_s / 3600.0
+    for node in nodes:
+        for _ in range(int(rng.poisson(expected))):
+            kind, _weight, (lo, hi) = menu[bisect_right(cdf, rng.random())]
+            fault_duration = float(rng.uniform(lo, hi)) if hi > 0 else 0.0
+            # Leave room so windowed faults are not all cut short by
+            # the campaign end.
+            latest = max(0.0, duration_s - min(fault_duration, duration_s / 2))
+            start = float(rng.uniform(0.0, latest)) if latest > 0 else 0.0
+            magnitude = min(max(
+                intensity * float(rng.uniform(0.6, 1.0)), 0.05), 1.0)
+            specs.append(FaultSpec(
+                kind=kind, node=node, start_s=start,
+                duration_s=fault_duration, magnitude=magnitude))
+    return specs
+
+
 class FaultPlan:
     """An immutable, time-sorted collection of fault specs."""
 
@@ -200,37 +249,9 @@ class FaultPlan:
         ``rate_per_hour`` is the expected fault count per node-hour;
         ``intensity`` scales the magnitudes of probabilistic faults.
         """
-        if not nodes:
-            raise ConfigurationError("need at least one node")
-        if duration_s <= 0:
-            raise ConfigurationError("duration must be positive")
-        if rate_per_hour < 0:
-            raise ConfigurationError("rate must be >= 0")
-        if not 0 < intensity <= 1:
-            raise ConfigurationError("intensity must be in (0, 1]")
-        rng = np.random.default_rng(seed)
-        kinds = [entry[0] for entry in _RANDOM_MENU]
-        weights = np.array([entry[1] for entry in _RANDOM_MENU])
-        weights = weights / weights.sum()
-        windows = {entry[0]: entry[2] for entry in _RANDOM_MENU}
-
-        specs: List[FaultSpec] = []
-        expected = rate_per_hour * duration_s / 3600.0
-        for node in sorted(nodes):
-            for _ in range(int(rng.poisson(expected))):
-                kind = kinds[int(rng.choice(len(kinds), p=weights))]
-                lo, hi = windows[kind]
-                fault_duration = float(rng.uniform(lo, hi)) if hi > 0 else 0.0
-                # Leave room so windowed faults are not all cut short by
-                # the campaign end.
-                latest = max(0.0, duration_s - min(fault_duration, duration_s / 2))
-                start = float(rng.uniform(0.0, latest)) if latest > 0 else 0.0
-                magnitude = float(np.clip(
-                    intensity * rng.uniform(0.6, 1.0), 0.05, 1.0))
-                specs.append(FaultSpec(
-                    kind=kind, node=node, start_s=start,
-                    duration_s=fault_duration, magnitude=magnitude))
-        return cls(specs)
+        return cls(random_fault_specs(sorted(nodes), duration_s,
+                                      _RANDOM_MENU, rate_per_hour, seed,
+                                      intensity))
 
     def describe(self) -> str:
         """Multi-line plan summary."""

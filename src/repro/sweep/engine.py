@@ -325,10 +325,6 @@ def default_mp_context():
         "fork" if "fork" in methods else "spawn")
 
 
-#: Backwards-compatible private alias.
-_default_context = default_mp_context
-
-
 def run_sweep(spec: SweepSpec, jobs: int = 1, max_retries: int = 1,
               progress: Optional[Callable[[str], None]] = None,
               worker: Callable[[SweepTask], SweepRow] = run_sweep_task,
@@ -349,7 +345,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, max_retries: int = 1,
     if max_retries < 0:
         raise ConfigurationError("max_retries must be >= 0")
     tasks = spec.expand()
-    ctx = mp_context if mp_context is not None else _default_context()
+    ctx = mp_context if mp_context is not None else default_mp_context()
 
     pending = deque(tasks)
     attempts: Dict[int, int] = {task.index: 0 for task in tasks}

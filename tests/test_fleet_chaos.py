@@ -116,6 +116,73 @@ class TestMasks:
         assert not chaos.crash_mask(0).any()
 
 
+class TestMaskMemo:
+    """Memoised masks equal freshly computed ones and stay read-only."""
+
+    MASKS = ("crash_mask", "down_mask", "partition_mask", "at_risk_mask",
+             "brownout_crash_mask")
+
+    def _config(self):
+        # A 50% brownout hazard, so the down mask's lookback over the
+        # brownout crash draws is exercised, plus plan crashes.
+        return chaos_config(
+            fleet=FleetConfig(n_nodes=16, seed=3, nodes_per_rack=2,
+                              brownout_crash_scale=0.5),
+            chaos_rate_per_hour=20.0, correlated_seed=7,
+            correlated_rate_per_hour=3.0, correlated_intensity=1.0,
+            crash_down_steps=4)
+
+    def _fresh(self, config, name, t):
+        return getattr(config.build_chaos(), name)(t)
+
+    def test_memoised_masks_equal_fresh_masks(self):
+        config = self._config()
+        chaos = config.build_chaos()
+        steps = list(range(config.n_steps))
+        # Forward like a campaign, then backward and forward again with
+        # gaps, so evicted steps get recomputed.
+        order = steps + steps[::-1] + steps[::3] + steps[::7]
+        fired = set()
+        for t in order:
+            for name in self.MASKS:
+                first = getattr(chaos, name)(t)
+                again = getattr(chaos, name)(t)
+                assert np.array_equal(first, again), (name, t)
+                assert np.array_equal(
+                    first, self._fresh(config, name, t)), (name, t)
+                if first.any():
+                    fired.add(name)
+        assert fired == set(self.MASKS)
+
+    def test_memo_stays_bounded(self):
+        config = self._config()
+        chaos = config.build_chaos()
+        for t in range(config.n_steps):
+            for name in self.MASKS:
+                getattr(chaos, name)(t)
+        sizes = {name: len(cache) for name, cache in chaos._memo.items()}
+        assert sizes.pop("brownout_crash") == config.crash_down_steps
+        assert set(sizes.values()) == {1}
+
+    def test_returned_masks_cannot_be_changed(self):
+        config = self._config()
+        chaos = config.build_chaos()
+        view = chaos.view(4, 12)
+        for t in range(config.n_steps):
+            for name in self.MASKS:
+                for source, lo, hi in ((chaos, 0, 16), (view, 4, 12)):
+                    mask = getattr(source, name)(t)
+                    with pytest.raises(ValueError):
+                        mask[:] = ~mask
+                    with pytest.raises(ValueError):
+                        mask |= True
+                    mine = mask.copy()
+                    mine[:] = True
+                    assert np.array_equal(
+                        getattr(source, name)(t),
+                        self._fresh(config, name, t)[lo:hi]), (name, t)
+
+
 class TestKernelIdentityUnderChaos:
     def test_step_equals_step_node_with_chaos(self):
         config = FleetConfig(n_nodes=6, seed=2, review_every_steps=2)

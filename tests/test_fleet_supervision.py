@@ -1,12 +1,14 @@
 """Tests for supervised fleet workers: kills, wedges, quarantine."""
 
 import json
+import multiprocessing
 import os
 import pathlib
 import signal
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.core.exceptions import (
@@ -18,8 +20,10 @@ from repro.fleet import (
     FleetCampaign,
     FleetCampaignConfig,
     FleetConfig,
+    build_fleet_state,
     run_fleet_campaign,
 )
+from repro.fleet.state import DYNAMIC_FIELDS
 from repro.persistence.snapshot import (
     canonical_json,
     shard_entries,
@@ -188,6 +192,42 @@ class TestPerShardSnapshots:
         report = canonical_json(resumed.report())
         resumed.close()
         assert report == full
+
+
+class TestWorkerHandOff:
+    """Workers inherit the parent's pristine state and compiled chaos."""
+
+    def test_spawned_workers_match_in_process_report(self):
+        # Under spawn the inherited objects are pickled, not forked.
+        config = small_config(
+            fleet=FleetConfig(n_nodes=32, seed=1, nodes_per_rack=4),
+            chaos_seed=5, correlated_seed=7, correlated_rate_per_hour=0.6,
+            correlated_intensity=0.6, domain_defense=True)
+        serial = canonical_json(run_fleet_campaign(config, jobs=1))
+        spawned = canonical_json(run_fleet_campaign(
+            config, jobs=2,
+            mp_context=multiprocessing.get_context("spawn")))
+        assert spawned == serial
+        totals = json.loads(serial)["totals"]
+        assert totals["crashes"] > 0 and totals["domain_demotions"] > 0
+
+    def test_quarantine_replay_leaves_pristine_state_untouched(self):
+        config = small_config(chaos_seed=5)
+        campaign = FleetCampaign(config, jobs=2, kill_worker_at=[(7, 0)],
+                                 max_worker_restarts=0)
+        try:
+            campaign.run()
+            report = campaign.report()
+        finally:
+            campaign.close()
+        assert report["quarantine"]["nodes"] == 4
+        pristine = campaign.executor.pristine
+        fresh = build_fleet_state(config.fleet)
+        names = ["keys", "vmin_core_v", "retention_weak"]
+        names += [name for name, _ in DYNAMIC_FIELDS]
+        for name in names:
+            assert np.array_equal(getattr(pristine, name),
+                                  getattr(fresh, name)), name
 
 
 class TestCliKill:
