@@ -1,7 +1,7 @@
 """Bench — fault-tolerant fleet execution: replay identity and cost.
 
 The acceptance bar for the supervised fleet executor
-(``repro.fleet.campaign._ProcessExecutor``) and the vectorized chaos
+(``repro.fleet.executor.ProcessExecutor``) and the vectorized chaos
 layer (``repro.fleet.chaos``):
 
 * a campaign with a seeded fault plan *and* injected worker SIGKILLs

@@ -4,9 +4,9 @@ The sweep engine parallelizes *across* campaigns; this module
 parallelizes *within* one.  The fleet is split into contiguous node
 shards (:func:`~repro.fleet.state.shard_bounds`); each shard steps
 through the :class:`~repro.fleet.vectors.FleetVectors` batch models,
-either in-process or across shared-nothing worker subprocesses started
-the same way the sweep engine starts its workers
-(:func:`~repro.sweep.engine.default_mp_context`).
+either in-process or across shared-nothing worker subprocesses (the
+executors in :mod:`repro.fleet.executor`, which start their workers
+through :mod:`repro.exec`).
 
 **Determinism contract** (pinned by ``tests/test_fleet_campaign.py``
 and priced by ``benchmarks/bench_fleet_scaling.py`` /
@@ -48,58 +48,45 @@ checksummed entry.
 from __future__ import annotations
 
 import heapq
-import logging
 import math
-import os
-import signal
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.clock import step_count
-from ..core.exceptions import (
-    ConfigurationError,
-    FleetWorkerError,
-    PersistenceError,
-)
+from ..core.exceptions import ConfigurationError, PersistenceError
 from ..persistence.snapshot import (
     SnapshotStore,
     shard_entries,
     verify_shard_entries,
 )
-from ..sweep.engine import default_mp_context
 from ..resilience.chaos import FaultPlan
-from .chaos import FleetChaos, fleet_correlated_plan, fleet_fault_plan
-from .domains import FaultDomainTopology
-from .report import fleet_campaign_report
-from .state import (
-    DYNAMIC_FIELDS,
-    FleetConfig,
-    FleetState,
-    shard_bounds,
+from .chaos import (
+    CORRELATED_FAULT_KINDS,
+    FleetChaos,
+    fleet_correlated_plan,
+    fleet_fault_plan,
 )
+from .domains import FaultDomainTopology
+from .executor import (
+    DYNAMIC_NAMES,
+    ProcessExecutor,
+    ShardStepper,
+    concat_shards,
+)
+from .report import fleet_campaign_report
+from .state import DYNAMIC_FIELDS, FleetConfig, shard_bounds
 from .vectors import (
     CH_ARRIVAL_COUNT,
     CH_ARRIVAL_LIFETIME,
     CH_ARRIVAL_SIZE,
-    FleetVectors,
     arrival_counter_key,
     build_fleet_state,
     counter_uniform,
 )
 
-logger = logging.getLogger(__name__)
-
 STEPPERS = ("vector", "scalar")
-
-#: Granularity of the supervised receive loop (seconds between
-#: liveness checks while waiting on a worker reply).
-_POLL_S = 0.05
-
-#: ``down_until_step`` sentinel for permanently quarantined nodes.
-_FOREVER = 2**62
 
 
 @dataclass(frozen=True)
@@ -216,40 +203,22 @@ class FleetCampaignConfig:
         its workers inherit the compiled object.  The per-node and
         correlated plans merge into one compiled object.
         """
-        plan = self.fault_plan()
-        correlated = self.correlated_plan()
-        if plan is None and correlated is None:
+        plans = [plan for plan in (self.fault_plan(),
+                                   self.correlated_plan())
+                 if plan is not None]
+        if not plans:
             return None
-        specs = list(plan.specs if plan is not None else ())
-        specs.extend(correlated.specs if correlated is not None else ())
-        return FleetChaos(FaultPlan(specs), self.fleet,
+        # One plan is already sorted; two merge with one sort.
+        merged = (plans[0] if len(plans) == 1 else
+                  FaultPlan(plans[0].specs + plans[1].specs))
+        return FleetChaos(merged, self.fleet,
                           crash_down_steps=self.crash_down_steps,
                           keys=keys, defense=self.domain_defense)
 
     def as_dict(self) -> Dict[str, object]:
         """Full plain-dict form (snapshot payloads)."""
-        state = {
-            "fleet": self.fleet.as_dict(),
-            "duration_s": self.duration_s,
-            "arrivals_per_hour": self.arrivals_per_hour,
-            "mean_lifetime_s": self.mean_lifetime_s,
-            "max_vcpus": self.max_vcpus,
-            "telemetry_every_steps": self.telemetry_every_steps,
-            "shards": self.shards,
-            "stepper": self.stepper,
-            "label": self.label,
-            "chaos_seed": self.chaos_seed,
-            "chaos_rate_per_hour": self.chaos_rate_per_hour,
-            "chaos_intensity": self.chaos_intensity,
-            "crash_down_steps": self.crash_down_steps,
-            "correlated_seed": self.correlated_seed,
-            "correlated_rate_per_hour": self.correlated_rate_per_hour,
-            "correlated_intensity": self.correlated_intensity,
-            "domain_defense": self.domain_defense,
-            "tenants": self.tenants,
-            "max_migrations_per_rack_step":
-                self.max_migrations_per_rack_step,
-        }
+        state = {f.name: getattr(self, f.name) for f in fields(self)}
+        state["fleet"] = self.fleet.as_dict()
         return state
 
     def as_report_dict(self) -> Dict[str, object]:
@@ -265,564 +234,6 @@ class FleetCampaignConfig:
         state = dict(state)
         state["fleet"] = FleetConfig.from_dict(state["fleet"])  # type: ignore[arg-type]
         return FleetCampaignConfig(**state)  # type: ignore[arg-type]
-
-
-# -- executors ----------------------------------------------------------------
-
-
-class _InProcessExecutor:
-    """Steps every shard sequentially in the calling process."""
-
-    def __init__(self, config: FleetCampaignConfig) -> None:
-        self.config = config
-        self.state = build_fleet_state(config.fleet)
-        self.vectors = FleetVectors(config.fleet)
-        self.bounds = shard_bounds(config.fleet.n_nodes, config.shards)
-        self.chaos = config.build_chaos(keys=self.state.keys)
-        self._views = [self.state.view(lo, hi)
-                       for lo, hi in self.bounds]
-        self._shard_chaos = [
-            self.chaos.view(lo, hi) if self.chaos is not None else None
-            for lo, hi in self.bounds]
-        self.worker_restarts_total = 0
-
-    def step(self, t: int, used: np.ndarray) -> None:
-        self.state.used_vcpus[:] = used
-        for (lo, hi), view, chaos_view in zip(
-                self.bounds, self._views, self._shard_chaos):
-            if self.config.stepper == "vector":
-                self.vectors.step(view, t, chaos_view)
-            else:
-                for index in range(hi - lo):
-                    self.vectors.step_node(view, index, t, chaos_view)
-
-    def sample(self) -> Dict[str, np.ndarray]:
-        return {"power_w": self.state.power_w.copy(),
-                "margin_on": self.state.margin_on.copy()}
-
-    def gather(self) -> Dict[str, object]:
-        return self.state.state_dict()
-
-    def gather_shards(self) -> List[Tuple[int, int, int, Dict]]:
-        """Per-shard ``(index, lo, hi, state)`` dynamics for snapshots."""
-        return [
-            (i, lo, hi, {name: getattr(view, name).tolist()
-                         for name, _ in DYNAMIC_FIELDS})
-            for i, ((lo, hi), view)
-            in enumerate(zip(self.bounds, self._views))]
-
-    def quarantined_mask(self) -> np.ndarray:
-        """In-process stepping has no workers, hence no quarantine."""
-        return np.zeros(self.config.fleet.n_nodes, dtype=bool)
-
-    def load(self, state: Dict[str, object]) -> None:
-        self.state.load_state_dict(state)
-
-    def close(self) -> None:
-        pass
-
-
-def _fleet_worker_main(config: FleetCampaignConfig, state: FleetState,
-                       chaos: Optional[FleetChaos],
-                       shard_indices: List[int], conn) -> None:
-    """Worker entry: own a subset of shards, step on command.
-
-    ``state`` is the parent's pristine fleet state and ``chaos`` its
-    compiled fault plan, inherited as process arguments (without a copy
-    under ``fork``, pickled under ``spawn``), so the worker builds
-    nothing.  It owns its copy of ``state`` but steps only its assigned
-    shard views — shared-nothing over shards, byte-identical to any
-    other partition.  Every reply carries the step it acknowledges (-1
-    for non-step commands), feeding the parent's liveness ledger.
-    """
-    vectors = FleetVectors(config.fleet)
-    bounds = shard_bounds(config.fleet.n_nodes, config.shards)
-    mine = []
-    for i in shard_indices:
-        lo, hi = bounds[i]
-        mine.append((i, (lo, hi), state.view(lo, hi),
-                     chaos.view(lo, hi) if chaos is not None else None))
-
-    def advance(t: int, used) -> None:
-        state.used_vcpus[:] = used
-        for _i, (lo, hi), view, chaos_view in mine:
-            if config.stepper == "vector":
-                vectors.step(view, t, chaos_view)
-            else:
-                for index in range(hi - lo):
-                    vectors.step_node(view, index, t, chaos_view)
-
-    while True:
-        message = conn.recv()
-        kind = message[0]
-        if kind == "stop":
-            break
-        if kind == "load":
-            for i, piece in message[1]:
-                for owned, _b, view, _c in mine:
-                    if owned != i or piece is None:
-                        continue
-                    for name, dtype in DYNAMIC_FIELDS:
-                        getattr(view, name)[:] = np.asarray(
-                            piece[name], dtype=dtype)
-            conn.send(("ok", -1))
-            continue
-        if kind == "replay":
-            for t, used in message[1]:
-                advance(t, used)
-            conn.send(("ok", -1))
-            continue
-        if kind == "step":
-            _, t, used, want_sample = message
-            advance(t, used)
-            if want_sample:
-                conn.send(("sample", [
-                    (i, {"power_w": view.power_w.copy(),
-                         "margin_on": view.margin_on.copy()})
-                    for i, _b, view, _c in mine], t))
-            else:
-                conn.send(("ok", t))
-            continue
-        if kind == "gather":
-            conn.send(("state", [
-                (i, {name: getattr(view, name).copy()
-                     for name, _ in DYNAMIC_FIELDS})
-                for i, _b, view, _c in mine], -1))
-            continue
-        raise RuntimeError(f"unknown fleet worker command {kind!r}")
-    conn.close()
-
-
-class _ProcessExecutor:
-    """Steps shards across supervised shared-nothing worker processes.
-
-    Shards are dealt round-robin to ``jobs`` workers; every step is a
-    barrier: the parent broadcasts, then collects acknowledgements in
-    worker order before continuing.  Every receive polls with a
-    deadline; a dead, wedged, or straggling worker is SIGKILLed,
-    respawned, and deterministically replayed from the last per-shard
-    checkpoint plus the recorded admission inputs.  A worker that
-    exhausts ``max_worker_restarts`` has its shards quarantined: the
-    parent replays them in-process to the failure step, marks their
-    nodes DOWN, and freezes them for the rest of the campaign.
-
-    The parent builds the fleet state and compiles the chaos once;
-    every worker, respawned ones included, inherits both.  ``pristine``
-    is that step-0 state: the parent never steps it, and a quarantine
-    replay steps a copy.
-    """
-
-    #: First patience for ``close()``; escalation halves it.
-    CLOSE_JOIN_TIMEOUT_S = 10.0
-
-    def __init__(self, config: FleetCampaignConfig, jobs: int,
-                 mp_context=None, worker_timeout_s: float = 30.0,
-                 max_worker_restarts: int = 2,
-                 checkpoint_every_steps: Optional[int] = 25,
-                 kill_worker_at: Sequence[Tuple[int, int]] = ()) -> None:
-        if worker_timeout_s <= 0:
-            raise ConfigurationError("worker timeout must be positive")
-        if max_worker_restarts < 0:
-            raise ConfigurationError(
-                "max_worker_restarts cannot be negative")
-        if checkpoint_every_steps is not None \
-                and checkpoint_every_steps < 1:
-            raise ConfigurationError(
-                "checkpoint_every_steps must be >= 1")
-        self.config = config
-        self.bounds = shard_bounds(config.fleet.n_nodes, config.shards)
-        self._ctx = mp_context if mp_context is not None \
-            else default_mp_context()
-        jobs = min(jobs, len(self.bounds))
-        self.jobs = jobs
-        self.worker_timeout_s = worker_timeout_s
-        self.max_worker_restarts = max_worker_restarts
-        self.checkpoint_every_steps = checkpoint_every_steps
-        self._assignment = [list(range(w, len(self.bounds), jobs))
-                            for w in range(jobs)]
-        self._kill_at: Dict[int, List[int]] = {}
-        for step, worker in kill_worker_at:
-            if not 0 <= worker < jobs:
-                raise ConfigurationError(
-                    f"kill target worker {worker} outside [0, {jobs})")
-            if step < 0:
-                raise ConfigurationError("kill step must be >= 0")
-            self._kill_at.setdefault(int(step), []).append(int(worker))
-        self.pristine = build_fleet_state(config.fleet)
-        self.chaos = config.build_chaos(keys=self.pristine.keys)
-        self._vectors = FleetVectors(config.fleet)
-        self._workers: List[Optional[tuple]] = [None] * jobs
-        self._restarts = [0] * jobs
-        self._last_acked: List[Optional[int]] = [None] * jobs
-        self._quarantined_workers: set = set()
-        #: Last known-good per-shard dynamics (None = fresh build).
-        self._ckpt: Dict[int, Optional[Dict[str, np.ndarray]]] = {
-            i: None for i in range(len(self.bounds))}
-        #: Admission inputs since the last checkpoint — the replay log.
-        self._history: List[Tuple[int, np.ndarray]] = []
-        self.worker_restarts_total = 0
-        for worker in range(jobs):
-            self._spawn(worker)
-
-    # -- supervised plumbing ----------------------------------------------
-
-    def _spawn(self, worker: int) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_fleet_worker_main,
-            args=(self.config, self.pristine, self.chaos,
-                  self._assignment[worker], child_conn),
-            daemon=True)
-        process.start()
-        child_conn.close()
-        self._workers[worker] = (process, parent_conn)
-        self._last_acked[worker] = None
-
-    def _live_workers(self) -> List[int]:
-        return [w for w in range(self.jobs)
-                if w not in self._quarantined_workers]
-
-    def _send(self, worker: int, message) -> None:
-        _process, conn = self._workers[worker]
-        try:
-            conn.send(message)
-        except (BrokenPipeError, OSError):
-            # Death is detected — and recovered — at receive time.
-            pass
-
-    def _failure(self, worker: int, what: str) -> FleetWorkerError:
-        return FleetWorkerError(
-            f"fleet worker {worker} "
-            f"(shards {self._assignment[worker]}) {what}; "
-            f"last acked step: {self._last_acked[worker]}",
-            worker=worker, shards=self._assignment[worker],
-            last_acked_step=self._last_acked[worker])
-
-    def _recv(self, worker: int, timeout: Optional[float] = None):
-        """Poll-with-deadline receive: never blocks on a dead worker."""
-        process, conn = self._workers[worker]
-        timeout = self.worker_timeout_s if timeout is None else timeout
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                if conn.poll(_POLL_S):
-                    return conn.recv()
-            except (EOFError, OSError) as exc:
-                raise self._failure(
-                    worker, f"closed its pipe ({exc})") from exc
-            if not process.is_alive():
-                try:  # drain a final buffered reply, if any
-                    if conn.poll(0):
-                        return conn.recv()
-                except (EOFError, OSError):
-                    pass
-                raise self._failure(worker, "died")
-            if time.monotonic() >= deadline:
-                raise self._failure(
-                    worker, f"wedged: no reply within {timeout:.1f}s")
-
-    def _note_ack(self, worker: int, reply) -> None:
-        step = reply[-1] if reply and isinstance(reply[-1], int) else -1
-        if reply[0] in ("ok", "sample") and step >= 0:
-            self._last_acked[worker] = step
-
-    def _restart(self, worker: int) -> bool:
-        """Kill + respawn one worker; False once the budget is spent."""
-        process, conn = self._workers[worker]
-        if process.is_alive():
-            process.kill()
-        process.join(timeout=10)
-        conn.close()
-        self._restarts[worker] += 1
-        self.worker_restarts_total += 1
-        if self._restarts[worker] > self.max_worker_restarts:
-            return False
-        self._spawn(worker)
-        logger.warning(
-            "fleet worker %d respawned (restart %d/%d)", worker,
-            self._restarts[worker], self.max_worker_restarts)
-        return True
-
-    def _reload_and_replay(self, worker: int,
-                           replay: List[Tuple[int, np.ndarray]]) -> None:
-        """Rebuild a respawned worker: checkpoint overlay + re-step."""
-        self._send(worker, ("load", [(i, self._ckpt[i])
-                                     for i in self._assignment[worker]]))
-        reply = self._recv(worker)
-        if reply[0] != "ok":
-            raise self._failure(
-                worker, f"broke protocol on reload ({reply[0]!r})")
-        if replay:
-            self._send(worker, ("replay", list(replay)))
-            reply = self._recv(
-                worker, timeout=self.worker_timeout_s
-                + _POLL_S * len(replay))
-            if reply[0] != "ok":
-                raise self._failure(
-                    worker, f"broke protocol on replay ({reply[0]!r})")
-
-    def _collect(self, worker: int, message,
-                 replay: List[Tuple[int, np.ndarray]]):
-        """Receive one reply, recovering through worker failures.
-
-        ``message`` is the already-sent command (resent after a
-        respawn); ``replay`` is the admission-input log to re-step
-        first.  Returns None when the worker got quarantined instead.
-        """
-        while True:
-            try:
-                reply = self._recv(worker)
-            except FleetWorkerError as failure:
-                logger.warning("supervising: %s", failure)
-                if not self._restart(worker):
-                    self._quarantine(worker, message, replay)
-                    return None
-                try:
-                    self._reload_and_replay(worker, replay)
-                    self._send(worker, message)
-                except FleetWorkerError as exc:
-                    logger.warning(
-                        "respawned worker failed during replay: %s",
-                        exc)
-                continue
-            self._note_ack(worker, reply)
-            return reply
-
-    # -- quarantine escalation --------------------------------------------
-
-    def _quarantine(self, worker: int, message,
-                    replay: List[Tuple[int, np.ndarray]]) -> None:
-        """Freeze a hopeless worker's shards at the failure step.
-
-        The parent replays the shards in-process (checkpoint overlay +
-        recorded admission inputs + the in-flight step, if any) so the
-        frozen state is exactly what the worker would have computed,
-        then marks every node DOWN and quarantined.
-        """
-        logger.error(
-            "fleet worker %d exhausted %d restart(s); quarantining "
-            "shards %s", worker, self.max_worker_restarts,
-            self._assignment[worker])
-        config = self.config
-        state = self.pristine.copy()
-        shard_views = []
-        for i in self._assignment[worker]:
-            lo, hi = self.bounds[i]
-            view = state.view(lo, hi)
-            ckpt = self._ckpt[i]
-            if ckpt is not None:
-                for name, dtype in DYNAMIC_FIELDS:
-                    getattr(view, name)[:] = np.asarray(
-                        ckpt[name], dtype=dtype)
-            shard_views.append(
-                (i, (lo, hi), view,
-                 self.chaos.view(lo, hi)
-                 if self.chaos is not None else None))
-        steps = list(replay)
-        if message and message[0] == "step":
-            steps.append((message[1], message[2]))
-        for t, used in steps:
-            state.used_vcpus[:] = used
-            for _i, (lo, hi), view, chaos_view in shard_views:
-                if config.stepper == "vector":
-                    self._vectors.step(view, t, chaos_view)
-                else:
-                    for index in range(hi - lo):
-                        self._vectors.step_node(
-                            view, index, t, chaos_view)
-        for i, _b, view, _c in shard_views:
-            view.quarantined[:] = True
-            view.down_until_step[:] = _FOREVER
-            self._ckpt[i] = {name: getattr(view, name).copy()
-                             for name, _ in DYNAMIC_FIELDS}
-        self._quarantined_workers.add(worker)
-
-    def quarantined_mask(self) -> np.ndarray:
-        """Boolean per-node mask of quarantined (frozen) shards."""
-        mask = np.zeros(self.config.fleet.n_nodes, dtype=bool)
-        for worker in self._quarantined_workers:
-            for i in self._assignment[worker]:
-                lo, hi = self.bounds[i]
-                mask[lo:hi] = True
-        return mask
-
-    # -- the per-step barrier ----------------------------------------------
-
-    def _maybe_kill(self, t: int) -> None:
-        """Deliver injected SIGKILLs scheduled for step ``t``."""
-        for worker in self._kill_at.get(t, ()):
-            if worker in self._quarantined_workers:
-                continue
-            process, _conn = self._workers[worker]
-            if process.pid is not None and process.is_alive():
-                os.kill(process.pid, signal.SIGKILL)
-                logger.warning(
-                    "injected SIGKILL into fleet worker %d at step %d",
-                    worker, t)
-
-    def _step_exchange(self, t: int, used: np.ndarray,
-                       want_sample: bool):
-        self._maybe_kill(t)
-        used = np.array(used, dtype=np.int64)
-        self._history.append((t, used))
-        message = ("step", t, used, want_sample)
-        replay = self._history[:-1]
-        live = self._live_workers()
-        for worker in live:
-            self._send(worker, message)
-        pieces: List[Tuple[int, Dict]] = []
-        for worker in live:
-            reply = self._collect(worker, message, replay)
-            if reply is None:
-                continue
-            if reply[0] != ("sample" if want_sample else "ok"):
-                raise PersistenceError(
-                    f"fleet worker protocol error: {reply[0]!r}")
-            if want_sample:
-                pieces.extend(reply[1])
-        if (self.checkpoint_every_steps is not None
-                and len(self._history) >= self.checkpoint_every_steps):
-            self._checkpoint()
-        if not want_sample:
-            return None
-        have = {i for i, _ in pieces}
-        for i in range(len(self.bounds)):
-            if i not in have:  # quarantined: frozen at failure step
-                ckpt = self._ckpt[i]
-                pieces.append((i, {
-                    "power_w": np.asarray(ckpt["power_w"],
-                                          dtype=np.float64),
-                    "margin_on": np.asarray(ckpt["margin_on"],
-                                            dtype=np.bool_)}))
-        return pieces
-
-    def step(self, t: int, used: np.ndarray) -> None:
-        self._step_exchange(t, used, False)
-
-    def _assemble(self, pieces: List[Tuple[int, Dict]],
-                  names: Sequence[str]) -> Dict[str, np.ndarray]:
-        n = self.config.fleet.n_nodes
-        out = {}
-        by_shard = dict(pieces)
-        for name in names:
-            parts = [np.asarray(by_shard[i][name])
-                     for i in range(len(self.bounds))]
-            out[name] = np.concatenate(parts)
-            if out[name].shape[0] != n:
-                raise PersistenceError("shard reassembly size mismatch")
-        return out
-
-    def step_and_sample(self, t: int,
-                        used: np.ndarray) -> Dict[str, np.ndarray]:
-        pieces = self._step_exchange(t, used, True)
-        return self._assemble(pieces, ("power_w", "margin_on"))
-
-    def sample(self) -> Dict[str, np.ndarray]:
-        raise NotImplementedError  # parent always uses step_and_sample
-
-    # -- checkpoints, gather, load -----------------------------------------
-
-    def _gather_pieces(self) -> List[Tuple[int, Dict]]:
-        message = ("gather",)
-        live = self._live_workers()
-        for worker in live:
-            self._send(worker, message)
-        pieces: List[Tuple[int, Dict]] = []
-        for worker in live:
-            reply = self._collect(worker, message, list(self._history))
-            if reply is None:
-                continue
-            if reply[0] != "state":
-                raise PersistenceError(
-                    f"fleet worker protocol error: {reply[0]!r}")
-            pieces.extend(reply[1])
-        return pieces
-
-    def _checkpoint(self) -> None:
-        """Refresh the per-shard replay baseline, trim the input log."""
-        for i, arrays in self._gather_pieces():
-            self._ckpt[i] = arrays
-        self._history.clear()
-
-    def _all_pieces(self) -> Dict[int, Dict]:
-        pieces = dict(self._gather_pieces())
-        for i in range(len(self.bounds)):
-            if i not in pieces:  # quarantined: frozen state
-                pieces[i] = self._ckpt[i]
-        return pieces
-
-    def gather(self) -> Dict[str, object]:
-        pieces = self._all_pieces()
-        names = [name for name, _ in DYNAMIC_FIELDS]
-        arrays = self._assemble(list(pieces.items()), names)
-        state: Dict[str, object] = {
-            "n_nodes": self.config.fleet.n_nodes}
-        for name in names:
-            state[name] = arrays[name].tolist()
-        return state
-
-    def gather_shards(self) -> List[Tuple[int, int, int, Dict]]:
-        """Per-shard ``(index, lo, hi, state)`` dynamics for snapshots."""
-        pieces = self._all_pieces()
-        return [
-            (i, lo, hi, {name: np.asarray(pieces[i][name],
-                                          dtype=dtype).tolist()
-                         for name, dtype in DYNAMIC_FIELDS})
-            for i, (lo, hi) in enumerate(self.bounds)]
-
-    def load(self, state: Dict[str, object]) -> None:
-        n = self.config.fleet.n_nodes
-        if int(state["n_nodes"]) != n:  # type: ignore[arg-type]
-            raise ConfigurationError(
-                f"state is for {state['n_nodes']} nodes, "
-                f"this fleet has {n}")
-        arrays = {name: np.asarray(state[name], dtype=dtype)
-                  for name, dtype in DYNAMIC_FIELDS}
-        for i, (lo, hi) in enumerate(self.bounds):
-            self._ckpt[i] = {name: arrays[name][lo:hi].copy()
-                             for name, _ in DYNAMIC_FIELDS}
-        self._history.clear()
-        live = self._live_workers()
-        messages = {}
-        for worker in live:
-            messages[worker] = ("load", [
-                (i, self._ckpt[i]) for i in self._assignment[worker]])
-            self._send(worker, messages[worker])
-        for worker in live:
-            reply = self._collect(worker, messages[worker], [])
-            if reply is not None and reply[0] != "ok":
-                raise PersistenceError(
-                    f"fleet worker protocol error: {reply[0]!r}")
-
-    def close(self) -> None:
-        """Stop workers, escalating join → terminate → kill on hangs."""
-        for entry in self._workers:
-            if entry is None:
-                continue
-            process, conn = entry
-            if process.is_alive():
-                try:
-                    conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
-        for worker, entry in enumerate(self._workers):
-            if entry is None:
-                continue
-            process, conn = entry
-            process.join(timeout=self.CLOSE_JOIN_TIMEOUT_S)
-            if process.is_alive():
-                logger.warning(
-                    "fleet worker %d ignored stop for %.0fs; "
-                    "terminating", worker, self.CLOSE_JOIN_TIMEOUT_S)
-                process.terminate()
-                process.join(timeout=self.CLOSE_JOIN_TIMEOUT_S / 2)
-            if process.is_alive():
-                logger.warning(
-                    "fleet worker %d survived terminate; killing",
-                    worker)
-                process.kill()
-                process.join()
-            conn.close()
 
 
 # -- the campaign loop --------------------------------------------------------
@@ -863,15 +274,18 @@ class FleetCampaign:
         self.config = config
         self.jobs = jobs
         if jobs == 1:
-            self.executor = _InProcessExecutor(config)
+            state = build_fleet_state(config.fleet)
+            self.executor = ShardStepper(
+                config, state, config.build_chaos(keys=state.keys))
         else:
-            self.executor = _ProcessExecutor(
+            self.executor = ProcessExecutor(
                 config, jobs, mp_context=mp_context,
                 worker_timeout_s=worker_timeout_s,
                 max_worker_restarts=max_worker_restarts,
                 checkpoint_every_steps=checkpoint_every_steps,
                 kill_worker_at=kill_worker_at)
         self.chaos = self.executor.chaos
+        self.bounds = shard_bounds(config.fleet.n_nodes, config.shards)
         self.store = (SnapshotStore(snapshot_dir)
                       if snapshot_dir is not None else None)
         self.snapshot_every_steps = snapshot_every_steps
@@ -1166,12 +580,17 @@ class FleetCampaign:
             },
             "fleet": {
                 "n_nodes": self.config.fleet.n_nodes,
-                "shards": shard_entries(
-                    (lo, hi, state) for _i, lo, hi, state
-                    in self.executor.gather_shards()),
+                "shards": shard_entries(self._shard_states()),
             },
         }
         self.store.save(self.step_index, payload)
+
+    def _shard_states(self) -> List[Tuple[int, int, Dict[str, list]]]:
+        """Per-shard ``(lo, hi, dynamics)`` for snapshot entries."""
+        pieces = self.executor.arrays()
+        return [(lo, hi, {name: pieces[i][name].tolist()
+                          for name in DYNAMIC_NAMES})
+                for i, (lo, hi) in enumerate(self.bounds)]
 
     def _load_snapshot(self, payload: Dict[str, object]) -> None:
         campaign = payload["campaign"]
@@ -1213,10 +632,9 @@ class FleetCampaign:
         if not covered.all():
             raise PersistenceError(
                 "snapshot shards do not cover the fleet")
-        merged: Dict[str, object] = {"n_nodes": n}
-        for name, _ in DYNAMIC_FIELDS:
-            merged[name] = arrays[name].tolist()
-        self.executor.load(merged)
+        self.executor.load({
+            i: {name: arrays[name][lo:hi].copy() for name in DYNAMIC_NAMES}
+            for i, (lo, hi) in enumerate(self.bounds)})
         self._known_quarantined = arrays["quarantined"].astype(bool)
 
     def resume(self) -> bool:
@@ -1256,14 +674,8 @@ class FleetCampaign:
             self._account_sla(t)
             want_sample = ((t + 1) % telemetry_every == 0
                            or t == n_steps - 1)
-            if want_sample and isinstance(self.executor,
-                                          _ProcessExecutor):
-                arrays = self.executor.step_and_sample(t, self._used)
-            else:
-                self.executor.step(t, self._used)
-                arrays = (self.executor.sample()
-                          if want_sample else None)
-            if want_sample and arrays is not None:
+            arrays = self.executor.step(t, self._used, want_sample)
+            if arrays is not None:
                 self._record_sample(t, arrays)
             self.step_index = t + 1
             if (self.store is not None
@@ -1299,7 +711,9 @@ class FleetCampaign:
     def report(self) -> Dict[str, object]:
         """The canonical campaign report (shards/jobs/stepper
         invariant, and invariant to replayed worker deaths)."""
-        final = self.executor.gather()
+        final = {name: array.tolist() for name, array in concat_shards(
+            self.executor.arrays(), DYNAMIC_NAMES,
+            self.config.fleet.n_nodes).items()}
         last_step = self.step_index - 1
         down_final = (
             (np.asarray(final["down_until_step"], dtype=np.int64)
@@ -1358,8 +772,11 @@ class FleetCampaign:
     def _fault_domains_block(self) -> Optional[Dict[str, object]]:
         """Report block describing the correlated plan; None without
         one, so uncorrelated campaigns keep their report shape."""
-        correlated = self.config.correlated_plan()
-        if correlated is None or not len(correlated):
+        if self.chaos is None:
+            return None
+        correlated = [spec for spec in self.chaos.plan
+                      if spec.kind in CORRELATED_FAULT_KINDS]
+        if not correlated:
             return None
         by_kind: Dict[str, int] = {}
         for spec in correlated:

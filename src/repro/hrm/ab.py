@@ -23,13 +23,13 @@ per-node rows in node order and sums with ``math.fsum``.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..core.exceptions import ConfigurationError
+from ..exec import map_tasks
 from ..fleet.state import shard_bounds
 from ..fleet.vectors import counter_uniform, splitmix64
 from ..hardware.dram import (
@@ -195,9 +195,10 @@ def evaluate_node(config: HrmConfig, arm: str,
     }
 
 
-def _evaluate_chunk(config_state: Dict[str, object], lo: int,
-                    hi: int) -> List[Dict[str, object]]:
+def _evaluate_chunk(
+        chunk: Tuple[Dict[str, object], int, int]) -> List[Dict[str, object]]:
     """Worker entry point: all arms for nodes ``[lo, hi)``."""
+    config_state, lo, hi = chunk
     config = HrmConfig.from_dict(config_state)
     return [
         {"node": node,
@@ -242,13 +243,15 @@ def run_hrm_ab(config: HrmConfig, jobs: int = 1) -> Dict[str, object]:
         raise ConfigurationError("jobs must be >= 1")
     state = config.as_dict()
     bounds = shard_bounds(config.n_nodes, min(jobs, config.n_nodes))
-    if jobs == 1 or len(bounds) == 1:
-        chunks = [_evaluate_chunk(state, lo, hi) for lo, hi in bounds]
+    work = [(state, lo, hi) for lo, hi in bounds]
+    if len(work) == 1:
+        chunks = [_evaluate_chunk(work[0])]
     else:
-        with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
-            futures = [pool.submit(_evaluate_chunk, state, lo, hi)
-                       for lo, hi in bounds]
-            chunks = [f.result() for f in futures]
+        outcomes = map_tasks(_evaluate_chunk, work, jobs=len(work))
+        for outcome in outcomes:
+            if outcome.error is not None:
+                raise RuntimeError(f"hrm worker: {outcome.error}")
+        chunks = [outcome.result for outcome in outcomes]
     rows = [row for chunk in chunks for row in chunk]
     arms = {arm: _aggregate_arm(config, arm, rows) for arm in HRM_ARMS}
     tiered = arms["tiered"]

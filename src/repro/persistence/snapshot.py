@@ -57,6 +57,13 @@ def canonical_json(payload: object) -> str:
                       default=_coerce)
 
 
+def write_canonical(path, report: object) -> None:
+    """Write a report file: its canonical JSON plus a newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(canonical_json(report))
+        handle.write("\n")
+
+
 def payload_checksum(payload: object) -> str:
     """SHA-256 over the canonical JSON form of ``payload``."""
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()

@@ -238,7 +238,10 @@ class FaultPlan:
         the same seeded plan the object stack sees.
         """
         wanted = frozenset(kinds)
-        return FaultPlan(s for s in self.specs if s.kind in wanted)
+        plan = FaultPlan.__new__(FaultPlan)
+        # A filtered sorted sequence is still sorted.
+        plan.specs = tuple(s for s in self.specs if s.kind in wanted)
+        return plan
 
     @classmethod
     def random(cls, nodes: Sequence[str], duration_s: float,

@@ -31,11 +31,8 @@ interpreter's string-hash seed.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from collections import deque
 from dataclasses import asdict, dataclass, field, replace
-from multiprocessing.connection import wait as _connection_wait
 from typing import (
     Callable,
     Dict,
@@ -45,6 +42,7 @@ from typing import (
 )
 
 from ..core.exceptions import ConfigurationError
+from ..exec import TaskOutcome, map_tasks
 from ..persistence.campaign import CampaignConfig
 
 #: CLI-friendly grid axis name -> (CampaignConfig field, coercion).
@@ -204,16 +202,8 @@ class SweepSpec:
         """Every task of the sweep, in deterministic order."""
         tasks: List[SweepTask] = []
         for label, overrides in self.points():
-            base = {
-                "n_nodes": self.n_nodes,
-                "duration_s": self.duration_s,
-                "policies": self.policies,
-                "rate_per_hour": self.rate_per_hour,
-                "intensity": self.intensity,
-                "base_rate_per_hour": self.base_rate_per_hour,
-                "step_s": self.step_s,
-                "plan": self.plan,
-            }
+            base = self.as_dict()
+            del base["seeds"], base["grid"]
             base.update(overrides)
             for seed in self.seeds:
                 index = len(tasks)
@@ -304,38 +294,18 @@ def run_sweep_task(task: SweepTask) -> SweepRow:
                     harvest=harvest)
 
 
-def _worker_main(worker: Callable[[SweepTask], SweepRow],
-                 task: SweepTask, conn) -> None:
-    """Subprocess entry: run one task, ship the row back, exit."""
-    row = worker(task)
-    conn.send(row)
-    conn.close()
-
-
-def default_mp_context():
-    """Prefer ``fork`` (workers inherit interpreter configuration, so
-    jobs-1 and jobs-N agree byte-for-byte); fall back to ``spawn``.
-
-    Shared by the sweep engine and the fleet campaign executor — any
-    shared-nothing worker pool in the repo should start workers the
-    same way for the same determinism argument.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn")
-
-
 def run_sweep(spec: SweepSpec, jobs: int = 1, max_retries: int = 1,
               progress: Optional[Callable[[str], None]] = None,
               worker: Callable[[SweepTask], SweepRow] = run_sweep_task,
               mp_context=None) -> SweepResult:
     """Run every task of ``spec`` across ``jobs`` worker subprocesses.
 
-    All tasks — even at ``jobs=1`` — run in worker subprocesses, so the
-    serial and parallel paths are numerically the same code.  A worker
-    that crashes (dies without shipping a row) or ships an ``ok=False``
-    row is retried up to ``max_retries`` times; a task still failing
-    after that is recorded as a failure row and the sweep continues.
+    All tasks — even at ``jobs=1`` — run in worker subprocesses
+    (:func:`repro.exec.map_tasks`), so the serial and parallel paths
+    are numerically the same code.  A worker that crashes (dies without
+    shipping a row) or ships an ``ok=False`` row is retried up to
+    ``max_retries`` times; a task still failing after that is recorded
+    as a failure row and the sweep continues.
 
     Rows come back in task order regardless of completion order, which
     is what makes the aggregate report independent of ``jobs``.
@@ -345,66 +315,43 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, max_retries: int = 1,
     if max_retries < 0:
         raise ConfigurationError("max_retries must be >= 0")
     tasks = spec.expand()
-    ctx = mp_context if mp_context is not None else default_mp_context()
-
-    pending = deque(tasks)
-    attempts: Dict[int, int] = {task.index: 0 for task in tasks}
-    rows: Dict[int, SweepRow] = {}
-    running: Dict[int, Tuple[object, object, SweepTask]] = {}
     total = len(tasks)
+    done = 0
 
-    def _note(line: str) -> None:
-        if progress is not None:
-            progress(line)
+    def _note(index: int, outcome: TaskOutcome, retrying: bool) -> None:
+        nonlocal done
+        task = tasks[index]
+        if not retrying:
+            done += 1
+        if progress is None:
+            return
+        if outcome.error is None:
+            availability = (outcome.result.result or {}).get(
+                "fleet_availability")
+            progress(f"[{done}/{total}] {task.point} "
+                     f"seed={task.seed} ok "
+                     f"availability={availability:.4f} "
+                     f"(attempt {outcome.attempts})")
+        elif retrying:
+            progress(f"[retry {outcome.attempts}/{max_retries + 1}] "
+                     f"{task.point} seed={task.seed}: {outcome.error}")
+        else:
+            progress(f"[{done}/{total}] {task.point} "
+                     f"seed={task.seed} FAILED after "
+                     f"{outcome.attempts} attempts: {outcome.error}")
 
-    def _launch(task: SweepTask) -> None:
-        receiver, sender = ctx.Pipe(duplex=False)
-        process = ctx.Process(target=_worker_main,
-                              args=(worker, task, sender), daemon=True)
-        attempts[task.index] += 1
-        process.start()
-        sender.close()
-        running[task.index] = (process, receiver, task)
-
-    while pending or running:
-        while pending and len(running) < jobs:
-            _launch(pending.popleft())
-        _connection_wait([conn for _, conn, _ in running.values()],
-                         timeout=0.25)
-        for index, (process, conn, task) in list(running.items()):
-            row: Optional[SweepRow] = None
-            if conn.poll():
-                try:
-                    row = conn.recv()
-                except (EOFError, OSError):
-                    row = None
-            elif process.is_alive():
-                continue
-            process.join()
-            conn.close()
-            del running[index]
-            if row is not None and row.ok:
-                row.attempts = attempts[index]
-                rows[index] = row
-                availability = (row.result or {}).get(
-                    "fleet_availability")
-                _note(f"[{len(rows)}/{total}] {task.point} "
-                      f"seed={task.seed} ok "
-                      f"availability={availability:.4f} "
-                      f"(attempt {row.attempts})")
-                continue
-            error = (row.error if row is not None else
-                     f"worker crashed (exit code {process.exitcode})")
-            if attempts[index] <= max_retries:
-                _note(f"[retry {attempts[index]}/{max_retries + 1}] "
-                      f"{task.point} seed={task.seed}: {error}")
-                pending.append(task)
-            else:
-                rows[index] = SweepRow(
-                    index=index, point=task.point, seed=task.seed,
-                    ok=False, attempts=attempts[index], error=error)
-                _note(f"[{len(rows)}/{total}] {task.point} "
-                      f"seed={task.seed} FAILED after "
-                      f"{attempts[index]} attempts: {error}")
-    return SweepResult(spec=spec,
-                       rows=[rows[task.index] for task in tasks])
+    outcomes = map_tasks(
+        worker, tasks, jobs=jobs, max_retries=max_retries,
+        failed=lambda row: None if row.ok else row.error,
+        on_outcome=_note, mp_context=mp_context)
+    rows = []
+    for task, outcome in zip(tasks, outcomes):
+        if outcome.error is None:
+            row = outcome.result
+            row.attempts = outcome.attempts
+        else:
+            row = SweepRow(index=task.index, point=task.point,
+                           seed=task.seed, ok=False,
+                           attempts=outcome.attempts, error=outcome.error)
+        rows.append(row)
+    return SweepResult(spec=spec, rows=rows)

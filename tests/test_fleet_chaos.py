@@ -13,7 +13,7 @@ from repro.fleet import (
     fleet_node_name,
     run_fleet_campaign,
 )
-from repro.fleet.chaos import FLEET_FAULT_KINDS
+from repro.fleet.chaos import CORRELATED_FAULT_KINDS, FLEET_FAULT_KINDS
 from repro.fleet.state import DYNAMIC_FIELDS
 from repro.fleet.vectors import FleetVectors, build_fleet_state
 from repro.persistence.snapshot import canonical_json
@@ -31,7 +31,29 @@ def chaos_config(**overrides):
     return FleetCampaignConfig(**defaults)
 
 
+def _plan_order(spec):
+    return (spec.start_s, spec.node, spec.kind.value)
+
+
 class TestFaultPlan:
+    def test_compiled_plan_keeps_the_fully_sorted_order(self):
+        # The merged plan sorts once and for_kinds filters without
+        # sorting; both must equal sorting at every stage.
+        config = chaos_config(fleet=FleetConfig(n_nodes=4000, seed=0),
+                              chaos_seed=1, correlated_seed=2,
+                              domain_defense=True)
+        plan, correlated = config.fault_plan(), config.correlated_plan()
+        merged = sorted(plan.specs + correlated.specs, key=_plan_order)
+        kinds = FLEET_FAULT_KINDS + CORRELATED_FAULT_KINDS
+        expected = tuple(sorted((s for s in merged if s.kind in kinds),
+                                key=_plan_order))
+        assert len(expected) > 1000
+        assert config.build_chaos().plan.specs == expected
+        crashes = plan.for_kinds([FaultKind.NODE_CRASH])
+        assert crashes.specs == tuple(sorted(
+            (s for s in plan.specs if s.kind is FaultKind.NODE_CRASH),
+            key=_plan_order))
+
     def test_seeded_plan_is_deterministic(self):
         a = fleet_fault_plan(8, 3600.0, seed=3)
         b = fleet_fault_plan(8, 3600.0, seed=3)
